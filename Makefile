@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench results serve-check conformance fuzz-smoke
+.PHONY: check build vet lint test race bench results serve-check perfbench-check conformance fuzz-smoke
 
 # check is the CI gate: compile everything, vet, run the module's own static
 # analysis suite (cmd/ctcplint), then the full test suite under the race
@@ -48,10 +48,19 @@ results:
 # exactly-once dedup guarantee (asserted from the outside via /metrics),
 # restart-reuse from the result store, journal restart-replay of queued and
 # interrupted jobs, failed-fingerprint retry, tenant auth/quota/rate limits,
-# fair-share dispatch, the progress event stream, job retention,
-# stale-fingerprint resimulation, backpressure, and the shutdown drain.
+# fair-share dispatch, the progress event stream and its per-job routing,
+# job retention, stale-fingerprint resimulation, backpressure, and the
+# shutdown drain.
 serve-check:
 	$(GO) test -race -count=1 ./internal/serve/
+
+# perfbench-check vets and tests the benchmark harness in perfbench/. It is a
+# separate Go module (it replaces ctcp with this checkout), so the root
+# `go test ./...` never compiles it; its tests drive the serve API in-process
+# and check the ctcpd_runner_*/ctcpd_store_* /metrics names its service
+# workload scrapes, so a change that would break the benchmark fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # conformance runs the ISA conformance corpus under the race detector: every
 # corpus program against its golden architectural result, emulator/pipeline

@@ -39,16 +39,45 @@ func segmentedReference(t *testing.T) *pipeline.Stats {
 	return p.Finish()
 }
 
-// TestCheckpointedRunMatchesSegmented: a checkpointed run writes its
-// journal, removes its checkpoint, matches the in-memory segmented
-// reference exactly, and a second runner over the same directory returns
-// the identical stats straight from the journal.
+// ckptStem is the path, without extension, of gzip/base's checkpoint and
+// result record under opts: both are named by the run fingerprint.
+func ckptStem(opts Options) string {
+	return filepath.Join(opts.CheckpointDir, FingerprintHex(RunFingerprint("gzip", BaseConfig(), opts)))
+}
+
+// plantFirstSegment writes the checkpoint a run killed after its first
+// segment would leave, fingerprinted for fpOpts, to path.
+func plantFirstSegment(t *testing.T, path string, fpOpts Options) {
+	t.Helper()
+	bm, _ := workload.ByName("gzip")
+	cfg := BaseConfig()
+	cfg.MaxInsts = 0
+	budget := fpOpts.Budget
+	p := pipeline.New(&emu.LimitStream{S: emu.New(bm.ProgramFor(budget)), Budget: budget}, cfg)
+	if p.RunTo(ckptEvery) {
+		t.Fatal("stream exhausted during the first segment")
+	}
+	w := snap.NewWriter()
+	w.Begin("run")
+	w.U64(RunFingerprint("gzip", BaseConfig(), fpOpts))
+	w.End()
+	p.Snapshot(w)
+	if err := snap.WriteFile(path, w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointedRunMatchesSegmented: a checkpointed run leaves a store
+// record, removes its checkpoint, matches the in-memory segmented reference
+// exactly, and a second runner over the same directory returns the
+// identical stats straight from the record without simulating.
 func TestCheckpointedRunMatchesSegmented(t *testing.T) {
 	dir := t.TempDir()
 	want := segmentedReference(t)
 	bm, _ := workload.ByName("gzip")
 
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	opts := Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -59,52 +88,65 @@ func TestCheckpointedRunMatchesSegmented(t *testing.T) {
 		t.Errorf("checkpointed run diverged from segmented reference\n want %s\n got  %s", wj, gj)
 	}
 
-	stem := filepath.Join(dir, sanitizeKey("gzip/base"))
-	if _, err := os.Stat(stem + ".done.json"); err != nil {
-		t.Fatalf("stats journal missing: %v", err)
+	stem := ckptStem(opts)
+	if _, err := os.Stat(stem + ".json"); err != nil {
+		t.Fatalf("store record missing: %v", err)
 	}
 	if _, err := os.Stat(stem + ".ckpt"); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after completion (err=%v)", err)
 	}
 
-	// A fresh runner resumes from the journal without resimulating: hook
-	// the default path so any real simulation would be visible.
-	r2 := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	// A fresh runner answers from the record. Every finished simulation
+	// writes a record, so a read hit with no write means none ran.
+	r2 := NewRunner(opts)
 	got2, err := r2.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got2) {
-		t.Error("journal-resumed stats differ from the original run")
+		t.Error("record-served stats differ from the original run")
+	}
+	if hits, _, puts := r2.store.Counts(); hits != 1 || puts != 0 {
+		t.Errorf("second runner: %d record hits, %d writes; want 1 hit and no simulation", hits, puts)
+	}
+}
+
+// TestCheckpointedRecordBeatsLeftoverCheckpoint: a run killed after its
+// record became durable but before its checkpoint was removed leaves both
+// files. The rerun must be served from the record, not resume the
+// checkpoint.
+func TestCheckpointedRecordBeatsLeftoverCheckpoint(t *testing.T) {
+	opts := Options{Budget: ckptBudget, CheckpointDir: t.TempDir(), CheckpointEvery: ckptEvery}
+	stem := ckptStem(opts)
+	plantFirstSegment(t, stem+".ckpt", opts)
+	// Distinctive stats no simulation produces prove where the answer came from.
+	marker := &pipeline.Stats{Cycles: 42, Retired: ckptBudget}
+	st := &Store{dir: opts.CheckpointDir}
+	if err := st.Put(&Record{Fingerprint: FingerprintHex(RunFingerprint("gzip", BaseConfig(), opts)),
+		Benchmark: "gzip", Config: "base", Budget: ckptBudget, Mode: "checkpointed", Stats: marker}); err != nil {
+		t.Fatal(err)
+	}
+	bm, _ := workload.ByName("gzip")
+	got, err := NewRunner(opts).RunErr(bm, "base", BaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(marker, got) {
+		t.Errorf("run resumed the leftover checkpoint instead of serving the record: got %+v", got)
 	}
 }
 
 // TestCheckpointedResumeFromPlantedCheckpoint simulates an interrupted
 // sweep: the first segment's checkpoint is on disk (written through the
-// public Snapshot path) with no journal, and the runner must pick it up
+// public Snapshot path) with no record, and the runner must pick it up
 // and finish bit-identically to the uninterrupted segmented run.
 func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	want := segmentedReference(t)
 	bm, _ := workload.ByName("gzip")
+	opts := Options{Budget: ckptBudget, CheckpointDir: t.TempDir(), CheckpointEvery: ckptEvery}
+	plantFirstSegment(t, ckptStem(opts)+".ckpt", opts)
 
-	cfg := BaseConfig()
-	cfg.MaxInsts = 0
-	p := pipeline.New(&emu.LimitStream{S: emu.New(bm.ProgramFor(ckptBudget)), Budget: ckptBudget}, cfg)
-	if p.RunTo(ckptEvery) {
-		t.Fatal("stream exhausted during the first segment")
-	}
-	opts := Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
-	w := snap.NewWriter()
-	w.Begin("run")
-	w.U64(RunFingerprint("gzip", BaseConfig(), opts))
-	w.End()
-	p.Snapshot(w)
-	if err := snap.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), w); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -119,12 +161,12 @@ func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
 // TestCheckpointedCorruptCheckpointRestarts: an undecodable checkpoint is
 // discarded and the run completes from scratch instead of failing.
 func TestCheckpointedCorruptCheckpointRestarts(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+	opts := Options{Budget: ckptBudget, CheckpointDir: t.TempDir(), CheckpointEvery: ckptEvery}
+	if err := os.WriteFile(ckptStem(opts)+".ckpt", []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bm, _ := workload.ByName("gzip")
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +177,7 @@ func TestCheckpointedCorruptCheckpointRestarts(t *testing.T) {
 }
 
 // TestCheckpointedBudgetChangeResimulates is the stale-result regression
-// test: a completed run's journal must only satisfy reruns with the same
+// test: a completed run's record must only satisfy reruns with the same
 // budget. Rerunning the same key over the same directory at double the
 // budget has to produce fresh full-length stats, never the old journal's.
 func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
@@ -160,15 +202,15 @@ func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
 		t.Fatalf("rerun at budget %d served stale stats: retired %d", 2*ckptBudget, second.Retired)
 	}
 
-	// The journal now records the new budget's run; a third runner at the
-	// new budget is satisfied from it, and one at the old budget is not.
+	// Each budget now has its own record; a third runner at the new budget
+	// is satisfied from its record, and one at the old budget from the old.
 	again, err := NewRunner(Options{Budget: 2 * ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
 		RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(second, again) {
-		t.Error("journal reread at the same budget differs from the run that wrote it")
+		t.Error("record reread at the same budget differs from the run that wrote it")
 	}
 	back, err := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
 		RunErr(bm, "base", BaseConfig())
@@ -182,82 +224,52 @@ func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
 
 // TestCheckpointedStaleCheckpointDiscarded plants a mid-run checkpoint
 // written under a different budget (whose snapshotted LimitStream still
-// carries that budget) and checks a run at a new budget discards it and
-// restarts from scratch instead of resuming into the wrong budget.
+// carries that budget) under the new run's file name — a renamed or
+// hand-copied file — and checks a run at the new budget discards it on its
+// fingerprint header and restarts from scratch instead of resuming into the
+// wrong budget.
 func TestCheckpointedStaleCheckpointDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	bm, _ := workload.ByName("gzip")
-
-	// Build the stale checkpoint exactly as a killed old-budget run would
-	// have left it: fingerprinted for ckptBudget, one segment in.
 	oldOpts := Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
-	cfg := BaseConfig()
-	cfg.MaxInsts = 0
-	p := pipeline.New(&emu.LimitStream{S: emu.New(bm.ProgramFor(ckptBudget)), Budget: ckptBudget}, cfg)
-	if p.RunTo(ckptEvery) {
-		t.Fatal("stream exhausted during the first segment")
-	}
-	w := snap.NewWriter()
-	w.Begin("run")
-	w.U64(RunFingerprint("gzip", BaseConfig(), oldOpts))
-	w.End()
-	p.Snapshot(w)
-	if err := snap.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), w); err != nil {
-		t.Fatal(err)
-	}
+	newOpts := Options{Budget: 2 * ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
+	plantFirstSegment(t, ckptStem(newOpts)+".ckpt", oldOpts)
 
-	newBudget := 2 * ckptBudget
-	got, err := NewRunner(Options{Budget: newBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
-		RunErr(bm, "base", BaseConfig())
+	got, err := NewRunner(newOpts).RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Retired != newBudget {
-		t.Fatalf("run resumed a stale checkpoint: retired %d, want %d", got.Retired, newBudget)
+	if got.Retired != newOpts.Budget {
+		t.Fatalf("run resumed a stale checkpoint: retired %d, want %d", got.Retired, newOpts.Budget)
 	}
 }
 
-// TestCheckpointedLegacyJournalIgnored: a pre-fingerprint journal (raw stats
-// JSON) must be treated as stale and resimulated, not trusted — it cannot
-// prove which budget or config produced it.
-func TestCheckpointedLegacyJournalIgnored(t *testing.T) {
-	dir := t.TempDir()
+// TestCheckpointedBadRecordResimulates: a record that is corrupt, or that
+// names another run's fingerprint, cannot prove which budget or config
+// produced it; it must be resimulated, not trusted.
+func TestCheckpointedBadRecordResimulates(t *testing.T) {
 	bm, _ := workload.ByName("gzip")
-	bogus, err := json.Marshal(&pipeline.Stats{Cycles: 42, Retired: 42})
+	want := segmentedReference(t)
+	mislabeled, err := json.Marshal(&Record{Fingerprint: FingerprintHex(42), Benchmark: "gzip",
+		Config: "base", Budget: ckptBudget, Stats: &pipeline.Stats{Cycles: 42, Retired: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".done.json"), bogus, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
-		RunErr(bm, "base", BaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := segmentedReference(t); !reflect.DeepEqual(want, got) {
-		t.Error("legacy journal was served instead of resimulating")
-	}
-}
-
-// TestSanitizeKeyDistinct: keys that collapse to the same character-mapped
-// stem must still map to distinct files (the short raw-key hash), and equal
-// keys must keep mapping to equal stems across calls.
-func TestSanitizeKeyDistinct(t *testing.T) {
-	if sanitizeKey("a/b-x") == sanitizeKey("a_b/x") {
-		t.Error("distinct keys share a checkpoint file stem")
-	}
-	if sanitizeKey("gzip/base") != sanitizeKey("gzip/base") {
-		t.Error("sanitizeKey is not deterministic")
-	}
-	keys := []string{"a/b-x", "a_b/x", "a-b/x", "a/b_x", "a/b/x", "a//b-x", "A/b-x"}
-	seen := map[string]string{}
-	for _, k := range keys {
-		stem := sanitizeKey(k)
-		if prev, dup := seen[stem]; dup {
-			t.Errorf("keys %q and %q collide on stem %q", prev, k, stem)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"corrupt", []byte("{torn")}, {"mislabeled", mislabeled}} {
+		opts := Options{Budget: ckptBudget, CheckpointDir: t.TempDir(), CheckpointEvery: ckptEvery}
+		if err := os.WriteFile(ckptStem(opts)+".json", c.body, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		seen[stem] = k
+		got, err := NewRunner(opts).RunErr(bm, "base", BaseConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s record was served instead of resimulating", c.name)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ package experiment
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -89,7 +88,8 @@ type ProgressEvent struct {
 	Done, Total uint64
 }
 
-// Options configures a Runner.
+// Options configures a Runner, or one Simulate call (which ignores
+// Parallelism).
 type Options struct {
 	// Budget is the committed-instruction count per run (0 = DefaultBudget).
 	Budget uint64
@@ -110,23 +110,16 @@ type Options struct {
 
 	// CheckpointDir, when non-empty, makes every run segmented and
 	// resumable: the runner writes an on-disk checkpoint of the full
-	// simulator state every CheckpointEvery instructions (default
-	// Budget/4), and a journal of the final stats when a run completes. A
-	// rerun over the same directory resumes each key from its newest
-	// checkpoint — or returns instantly from the journal — so a killed
-	// sweep loses at most one segment per key. Resumed runs are bit-exact:
-	// the segment schedule is derived from the checkpoint spacing, so a
-	// resumed run retires the same instructions in the same cycles as an
-	// uninterrupted segmented run.
+	// simulator state (<fingerprint>.ckpt) every CheckpointEvery
+	// instructions (default Budget/4), and a result record
+	// (<fingerprint>.json, see Store) when a run completes. A rerun over the
+	// same directory resumes each run from its newest checkpoint — or
+	// returns instantly from its record — so a killed sweep loses at most
+	// one segment per run. Resumed runs are bit-exact: the segment schedule
+	// is derived from the checkpoint spacing, so a resumed run retires the
+	// same instructions in the same cycles as an uninterrupted segmented run.
 	CheckpointDir   string
 	CheckpointEvery uint64
-
-	// RunFn, when non-nil, replaces the cycle-accurate simulation call for
-	// full-detail (monolithic) runs. It exists for tests and fault-injection
-	// drills — a service can stand in a failing or blocking simulation
-	// without touching the model — and is excluded from RunFingerprint, so
-	// production servers must leave it nil.
-	RunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
 	// Interrupt, when non-nil, requests cooperative cancellation: a run that
 	// has not started yet, or a checkpointed run between two segments,
@@ -184,12 +177,16 @@ type Runner struct {
 
 	started, completed, failed, deduped, cacheHits uint64
 
-	sem chan struct{}
+	sem   chan struct{}
+	store *Store // checkpointed runs' records (nil unless CheckpointDir is set)
 
-	// runFn executes one prepared simulation; tests hook it to count runs
-	// and inject failures.
-	runFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
+	// runFn executes one prepared full-detail simulation; tests hook it to
+	// count runs and inject failures.
+	runFn runFunc
 }
+
+// runFunc is the signature of the full-detail simulation call.
+type runFunc func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
@@ -205,8 +202,8 @@ func NewRunner(opts Options) *Runner {
 		sem:   make(chan struct{}, opts.Parallelism),
 		runFn: pipeline.RunProgramErr,
 	}
-	if opts.RunFn != nil {
-		r.runFn = opts.RunFn
+	if opts.CheckpointDir != "" {
+		r.store = &Store{dir: opts.CheckpointDir}
 	}
 	return r
 }
@@ -224,13 +221,13 @@ func (r *Runner) Fingerprint(bm workload.Benchmark, cfg pipeline.Config) uint64 
 // benchmark name, the full serialized configuration (pipeline.Config's
 // canonical fingerprint), the instruction budget, and the result-affecting
 // mode options — into one FNV-64a value. Results persisted under this
-// fingerprint (stats journals, checkpoint headers, the ctcpd result store)
-// can never be served back for a run that would compute something else:
-// changing the budget, any config field, or the segmentation/sampling
-// schedule changes the fingerprint. Concurrency knobs (Parallelism,
-// SampleWorkers) are excluded because the runner and sampler are
-// deterministic under them; so is CheckpointDir, which relocates files
-// without affecting the simulated schedule.
+// fingerprint (store records, checkpoint headers) can never be served back
+// for a run that would compute something else: changing the budget, any
+// config field, or the segmentation/sampling schedule changes the
+// fingerprint. Concurrency knobs (Parallelism, SampleWorkers) are excluded
+// because the runner and sampler are deterministic under them; so is
+// CheckpointDir, which relocates files without affecting the simulated
+// schedule.
 func RunFingerprint(bmName string, cfg pipeline.Config, opts Options) uint64 {
 	budget := opts.Budget
 	if budget == 0 {
@@ -277,19 +274,32 @@ func effectiveEvery(budget, every uint64) uint64 {
 	return every
 }
 
+// Mode names the simulation mode the options select, as result records and
+// ctcpd's job views spell it.
+func (o Options) Mode() string {
+	switch {
+	case o.SampleInterval != 0:
+		return "sampled"
+	case o.CheckpointDir != "":
+		return "checkpointed"
+	default:
+		return "full"
+	}
+}
+
 // interrupted reports whether Options.Interrupt has fired (nil = never).
-func (r *Runner) interrupted() bool {
+func (o Options) interrupted() bool {
 	select {
-	case <-r.opts.Interrupt:
+	case <-o.Interrupt:
 		return true
 	default:
 		return false
 	}
 }
 
-func (r *Runner) emit(ev ProgressEvent) {
-	if r.opts.Progress != nil {
-		r.opts.Progress(ev)
+func (o Options) emit(ev ProgressEvent) {
+	if o.Progress != nil {
+		o.Progress(ev)
 	}
 }
 
@@ -315,11 +325,11 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 		case <-e.done:
 			r.cacheHits++
 			r.mu.Unlock()
-			r.emit(ProgressEvent{Kind: RunCached, Key: key, Wall: e.wall, Err: e.err})
+			r.opts.emit(ProgressEvent{Kind: RunCached, Key: key, Wall: e.wall, Err: e.err})
 		default:
 			r.deduped++
 			r.mu.Unlock()
-			r.emit(ProgressEvent{Kind: RunDeduped, Key: key})
+			r.opts.emit(ProgressEvent{Kind: RunDeduped, Key: key})
 			<-e.done
 		}
 		return e.stats, e.err
@@ -328,14 +338,16 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 	r.cache[key] = e
 	r.started++
 	r.mu.Unlock()
-	r.emit(ProgressEvent{Kind: RunStarted, Key: key})
+	r.opts.emit(ProgressEvent{Kind: RunStarted, Key: key})
 
 	func() {
 		// The leader must always publish, or waiters deadlock; simulate
 		// recovers panics (including from hooked run functions) into errors.
 		defer close(e.done)
 		start := time.Now()
-		e.stats, e.err = r.simulate(key, bm, cfg)
+		r.sem <- struct{}{}
+		defer func() { <-r.sem }()
+		e.stats, e.err = simulate(r.runFn, bm, cfgKey, cfg, r.opts, r.store)
 		e.wall = time.Since(start)
 	}()
 
@@ -347,80 +359,99 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 	}
 	r.mu.Unlock()
 	if e.err != nil {
-		r.emit(ProgressEvent{Kind: RunFailed, Key: key, Wall: e.wall, Err: e.err})
+		r.opts.emit(ProgressEvent{Kind: RunFailed, Key: key, Wall: e.wall, Err: e.err})
 	} else {
-		r.emit(ProgressEvent{Kind: RunCompleted, Key: key, Wall: e.wall})
+		r.opts.emit(ProgressEvent{Kind: RunCompleted, Key: key, Wall: e.wall})
 	}
 	return e.stats, e.err
 }
 
-// Forget drops the memoized entry for bm/cfgKey if its run has finished. A
-// run that failed (or was interrupted) stays recorded per key forever
-// otherwise, which is right for one-shot sweeps — the failure belongs in
-// the report — but wrong for a long-lived service retrying a transiently
-// failed fingerprint: without Forget, the retry would be answered with the
-// recorded failure instead of a fresh simulation. In-flight entries are
-// left alone (their leader still owns the cell).
-func (r *Runner) Forget(bm workload.Benchmark, cfgKey string) {
-	key := bm.Name + "/" + cfgKey
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.cache[key]; ok {
-		select {
-		case <-e.done:
-			delete(r.cache, key)
-		default:
-		}
-	}
+// Simulate executes one run of bm under cfg with opts, outside any Runner:
+// it builds the program, dispatches to the sampled, checkpointed or
+// full-detail path, recovers a model panic into a *pipeline.SimError,
+// honours opts.Interrupt, and reports segment/region progress to
+// opts.Progress under the key "bm/cfgKey". It neither memoizes nor dedups —
+// callers that repeat a run own that (Runner by name, ctcpd by fingerprint).
+//
+// A non-nil store is where the finished result goes: Simulate writes the
+// run fingerprint's record there, the only place results are persisted. A
+// checkpointed run is first answered from an existing record, and its
+// checkpoint is removed only once the record is durable. If the record
+// cannot be written, the stats are still valid: they are returned together
+// with the write error, and a checkpoint stays for a rerun to resume from.
+func Simulate(bm workload.Benchmark, cfgKey string, cfg pipeline.Config, opts Options, store *Store) (*pipeline.Stats, error) {
+	return simulate(pipeline.RunProgramErr, bm, cfgKey, cfg, opts, store)
 }
 
-// simulate executes one run, holding a semaphore slot only around the
-// cycle-level model: program generation is memoized and cheap, so it must
-// not occupy a simulation slot. The key names the run's checkpoint files
-// when checkpointing is enabled.
-func (r *Runner) simulate(key string, bm workload.Benchmark, cfg pipeline.Config) (s *pipeline.Stats, err error) {
+// simulate is Simulate with the full-detail simulation call supplied.
+func simulate(run runFunc, bm workload.Benchmark, cfgKey string, cfg pipeline.Config, opts Options, store *Store) (s *pipeline.Stats, err error) {
 	defer func() {
-		// Safety net for panics escaping runFn itself (RunProgramErr already
+		// Safety net for panics escaping run itself (RunProgramErr already
 		// recovers model panics; this catches hooked or future run paths).
 		if rec := recover(); rec != nil {
 			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec)}
 		}
 	}()
-	if r.opts.CheckpointDir != "" && r.opts.SampleInterval != 0 {
+	if opts.CheckpointDir != "" && opts.SampleInterval != 0 {
 		return nil, fmt.Errorf("experiment: sampled and checkpointed modes are mutually exclusive")
 	}
-	prog := bm.ProgramFor(r.opts.Budget)
-	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
-	if r.interrupted() {
-		// Shutdown arrived while this run waited for a simulation slot;
-		// returning before any model work lets a drain finish promptly.
+	if opts.Budget == 0 {
+		opts.Budget = DefaultBudget
+	}
+	if opts.interrupted() {
+		// Shutdown arrived before this run began (for a Runner, while it
+		// waited for a simulation slot); returning before any model work
+		// lets a drain finish promptly.
 		return nil, ErrInterrupted
 	}
+	key := bm.Name + "/" + cfgKey
+	fp := RunFingerprint(bm.Name, cfg, opts)
+	prog := bm.ProgramFor(opts.Budget)
+	var ckptPath string
 	switch {
-	case r.opts.CheckpointDir != "":
-		return r.runCheckpointed(key, r.Fingerprint(bm, cfg), prog, cfg)
-	case r.opts.SampleInterval != 0:
-		return r.runSampled(key, prog, cfg)
+	case opts.CheckpointDir != "":
+		if store != nil {
+			if rec, ok := store.Get(fp); ok {
+				return rec.Stats, nil
+			}
+		}
+		ckptPath = filepath.Join(opts.CheckpointDir, FingerprintHex(fp)+".ckpt")
+		s, err = runCheckpointed(ckptPath, key, fp, prog, cfg, opts)
+	case opts.SampleInterval != 0:
+		s, err = runSampled(key, prog, cfg, opts)
 	default:
-		cfg.MaxInsts = r.opts.Budget
-		return r.runFn(prog, cfg)
+		cfg.MaxInsts = opts.Budget
+		s, err = run(prog, cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if store != nil {
+		rec := &Record{Fingerprint: FingerprintHex(fp), Benchmark: bm.Name, Config: cfgKey,
+			Budget: opts.Budget, Mode: opts.Mode(), Stats: s}
+		if err := store.Put(rec); err != nil {
+			return s, fmt.Errorf("experiment: persisting result %s: %w", rec.Fingerprint, err)
+		}
+	}
+	if ckptPath != "" {
+		os.Remove(ckptPath) // superseded by the record
+	}
+	return s, nil
 }
 
 // runSampled estimates the run with region-parallel sampled simulation.
 // The returned Stats carries the whole-run estimate in Cycles/Retired
 // (so IPC and speedup math work unchanged); the remaining counters sum
 // over the instructions simulated in detail only.
-func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+func runSampled(key string, prog *isa.Program, cfg pipeline.Config, opts Options) (*pipeline.Stats, error) {
 	res, err := sample.Run(prog, cfg, sample.Options{
-		Interval: r.opts.SampleInterval,
-		Detail:   r.opts.SampleDetail,
-		Warmup:   r.opts.SampleWarmup,
-		Workers:  r.opts.SampleWorkers,
-		MaxInsts: r.opts.Budget,
+		Interval: opts.SampleInterval,
+		Detail:   opts.SampleDetail,
+		Warmup:   opts.SampleWarmup,
+		Workers:  opts.SampleWorkers,
+		MaxInsts: opts.Budget,
 		OnRegion: func(done, total int) {
-			r.emit(ProgressEvent{Kind: RunRegion, Key: key,
+			opts.emit(ProgressEvent{Kind: RunRegion, Key: key,
 				Done: uint64(done), Total: uint64(total)})
 		},
 	})
@@ -433,67 +464,17 @@ func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) 
 	return &s, nil
 }
 
-// sanitizeKey maps a run key to a filesystem-safe checkpoint file stem. The
-// character mapping alone is lossy — "a/b-x" and "a_b/x" both map to
-// "a_b-x", which would let two distinct runs clobber each other's files — so
-// the stem also carries a short hash of the raw key: distinct keys always
-// get distinct stems, while the readable prefix keeps the directory
-// browsable.
-func sanitizeKey(key string) string {
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	sum := h.Sum64()
-	mapped := strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-			return c
-		default:
-			return '_'
-		}
-	}, key)
-	return fmt.Sprintf("%s-%08x", mapped, uint32(sum^(sum>>32)))
-}
-
-// journal is the on-disk schema of a completed run's .done.json. The
-// fingerprint ties the stats to the exact budget + config + schedule that
-// produced them; a journal whose fingerprint does not match the requested
-// run is stale (for example, the sweep was rerun with a different -insts)
-// and is ignored rather than served.
-type journal struct {
-	Fingerprint string          `json:"fingerprint"`
-	Key         string          `json:"key"`
-	Budget      uint64          `json:"budget"`
-	Stats       *pipeline.Stats `json:"stats"`
-}
-
 // runCheckpointed executes one run as a sequence of RunTo segments,
-// persisting the full simulator state after each one. A completed run
-// leaves a stats journal and removes its checkpoint; a rerun finds the
-// journal and returns instantly. A killed run leaves its newest checkpoint
-// behind, and the rerun resumes from it bit-exactly. Both durable files are
-// bound to the run fingerprint (budget + config + schedule): a journal or
-// checkpoint written under different options — the classic stale case is a
-// rerun with a changed -insts budget over the same directory — is detected
-// on load and discarded, restarting from scratch, exactly as a checkpoint
-// that fails to decode (truncated write, version skew) is.
-func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
-	stem := filepath.Join(r.opts.CheckpointDir, sanitizeKey(key))
-	ckptPath := stem + ".ckpt"
-	donePath := stem + ".done.json"
-	fpHex := fmt.Sprintf("%016x", fp)
-
-	if buf, err := os.ReadFile(donePath); err == nil {
-		var j journal
-		if json.Unmarshal(buf, &j) == nil && j.Stats != nil && j.Fingerprint == fpHex {
-			return j.Stats, nil
-		}
-		// Stale (written under a different budget/config), pre-fingerprint,
-		// or corrupt journal: fall through, resimulate, and overwrite.
-	}
-
-	budget := r.opts.Budget
-	every := effectiveEvery(budget, r.opts.CheckpointEvery)
+// persisting the full simulator state to ckptPath after each one. A killed
+// run leaves its newest checkpoint behind, and the rerun resumes from it
+// bit-exactly. The checkpoint's header repeats the run fingerprint its file
+// is named by (budget + config + schedule): a checkpoint of another run
+// under this name — renamed or hand-copied — is detected on load and
+// discarded, restarting from scratch, exactly as a checkpoint that fails to
+// decode (truncated write, version skew) is.
+func runCheckpointed(ckptPath, key string, fp uint64, prog *isa.Program, cfg pipeline.Config, opts Options) (*pipeline.Stats, error) {
+	budget := opts.Budget
+	every := effectiveEvery(budget, opts.CheckpointEvery)
 	cfg.MaxInsts = 0 // the budget lives in the (snapshotable) LimitStream
 	newPipe := func() *pipeline.Pipeline {
 		return pipeline.New(&emu.LimitStream{S: emu.New(prog), Budget: budget}, cfg)
@@ -513,7 +494,7 @@ func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg p
 		}
 	}
 	for {
-		if r.interrupted() {
+		if opts.interrupted() {
 			// The newest segment checkpoint is already on disk; a rerun
 			// resumes from it bit-exactly.
 			return nil, ErrInterrupted
@@ -535,21 +516,9 @@ func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg p
 		}
 		// The segment's checkpoint is durable: announce the boundary so
 		// services can stream intra-run progress to their clients.
-		r.emit(ProgressEvent{Kind: RunSegment, Key: key, Done: p.Consumed(), Total: budget})
+		opts.emit(ProgressEvent{Kind: RunSegment, Key: key, Done: p.Consumed(), Total: budget})
 	}
-	s := p.Finish()
-	buf, err := json.Marshal(journal{Fingerprint: fpHex, Key: key, Budget: budget, Stats: s})
-	if err != nil {
-		return nil, err
-	}
-	// The journal takes the same atomic temp+rename path as checkpoints: a
-	// kill mid-write must never leave a torn .done.json that a rerun would
-	// half-parse.
-	if err := snap.WriteFileBytes(donePath, buf); err != nil {
-		return nil, fmt.Errorf("writing stats journal %s: %w", donePath, err)
-	}
-	os.Remove(ckptPath) // superseded by the journal
-	return s, nil
+	return p.Finish(), nil
 }
 
 // Prefetch runs the given benchmark/config pairs concurrently so later

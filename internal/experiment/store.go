@@ -1,4 +1,4 @@
-package serve
+package experiment
 
 import (
 	"encoding/json"
@@ -31,8 +31,8 @@ type Record struct {
 // run fingerprint, written atomically (temp+rename via snap.WriteFileBytes),
 // so concurrent writers of the same fingerprint — which by construction hold
 // identical payloads — and readers racing a write both observe a complete
-// record or none. It is the durable layer that lets a restarted ctcpd serve
-// repeated requests without resimulating.
+// record or none. It is the one persistence tier for results: ctcpd's result
+// store, and the record a checkpointed run leaves in its -resume directory.
 type Store struct {
 	dir string
 
@@ -42,18 +42,20 @@ type Store struct {
 // OpenStore opens (creating if needed) a result store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("serve: store directory must be set")
+		return nil, fmt.Errorf("experiment: store directory must be set")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: creating store: %w", err)
+		return nil, fmt.Errorf("experiment: creating store: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
 
-func fpHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+// FingerprintHex renders a run fingerprint the way records, checkpoint file
+// names and the ctcpd API spell it.
+func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 func (st *Store) path(fp uint64) string {
-	return filepath.Join(st.dir, fpHex(fp)+".json")
+	return filepath.Join(st.dir, FingerprintHex(fp)+".json")
 }
 
 // Get returns the persisted record for fp, if a valid one exists. A missing,
@@ -67,7 +69,7 @@ func (st *Store) Get(fp uint64) (*Record, bool) {
 		return nil, false
 	}
 	var rec Record
-	if json.Unmarshal(buf, &rec) != nil || rec.Stats == nil || rec.Fingerprint != fpHex(fp) {
+	if json.Unmarshal(buf, &rec) != nil || rec.Stats == nil || rec.Fingerprint != FingerprintHex(fp) {
 		st.misses.Add(1)
 		return nil, false
 	}
@@ -79,11 +81,11 @@ func (st *Store) Get(fp uint64) (*Record, bool) {
 // record for the same fingerprint.
 func (st *Store) Put(rec *Record) error {
 	if rec.Stats == nil {
-		return fmt.Errorf("serve: refusing to persist a record without stats")
+		return fmt.Errorf("experiment: refusing to persist a record without stats")
 	}
 	var fp uint64
 	if _, err := fmt.Sscanf(rec.Fingerprint, "%016x", &fp); err != nil {
-		return fmt.Errorf("serve: record fingerprint %q is not a 64-bit hex value", rec.Fingerprint)
+		return fmt.Errorf("experiment: record fingerprint %q is not a 64-bit hex value", rec.Fingerprint)
 	}
 	buf, err := json.Marshal(rec)
 	if err != nil {
@@ -94,6 +96,12 @@ func (st *Store) Put(rec *Record) error {
 	}
 	st.puts.Add(1)
 	return nil
+}
+
+// Counts returns the store's traffic since it was opened: reads that found
+// a valid record, reads that did not, and records written.
+func (st *Store) Counts() (hits, misses, puts uint64) {
+	return st.hits.Load(), st.misses.Load(), st.puts.Load()
 }
 
 // Len counts the records currently on disk (a /metrics gauge; the store has

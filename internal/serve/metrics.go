@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-
-	"ctcp/internal/experiment"
 )
 
 // latencyBounds are the histogram bucket upper bounds (seconds) shared by
@@ -51,10 +49,9 @@ type tenantMetrics struct {
 
 // metricsSnapshot is one consistent read of every counter /metrics exposes:
 // the service-level job counters, the queue gauge, per-tenant rows, latency
-// histograms, and the pooled runners' execution counters summed into one
-// view. The runner sums are the exactly-once witness: after any number of
-// duplicate submissions of one job — or a restart over a journal of
-// completed fingerprints — runner.started stays 1.
+// histograms, and the simulation counters. runStarted is the exactly-once
+// witness: after any number of duplicate submissions of one job — or a
+// restart over a journal of completed fingerprints — it stays 1.
 type metricsSnapshot struct {
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
 	throttled, unauthorized                                        uint64
@@ -63,8 +60,7 @@ type metricsSnapshot struct {
 	queueWaitN, simN                                               uint64
 	queueHist, simHist                                             histogram
 	tenants                                                        []tenantMetrics
-	runner                                                         experiment.RunnerStats
-	runnerCount                                                    int
+	runStarted, runCompleted, runFailed                            uint64
 	storeRecords                                                   int
 	storeHitsDisk, storeMisses, storePuts                          uint64
 }
@@ -88,8 +84,9 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		simN:             s.simN,
 		queueHist:        s.queueHist.snapshot(),
 		simHist:          s.simHist.snapshot(),
-		runner:           s.runnerBase, // evicted runners' counters
-		runnerCount:      len(s.runners),
+		runStarted:       s.runStarted,
+		runCompleted:     s.runCompleted,
+		runFailed:        s.runFailed,
 	}
 	for _, name := range s.rr {
 		tn := s.tenants[name]
@@ -106,24 +103,9 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 			queued:      len(tn.pending),
 		})
 	}
-	runners := make([]*experiment.Runner, 0, len(s.runners))
-	for _, pr := range s.runners { //ctcp:lint-ok maporder -- summed into scalar totals; order-insensitive
-		runners = append(runners, pr.r)
-	}
 	s.mu.Unlock()
-	// Runner snapshots take each runner's own lock; do it outside ours.
-	for _, r := range runners {
-		rs := r.Stats()
-		m.runner.Started += rs.Started
-		m.runner.Completed += rs.Completed
-		m.runner.Failed += rs.Failed
-		m.runner.Deduped += rs.Deduped
-		m.runner.CacheHits += rs.CacheHits
-	}
 	m.storeRecords = s.store.Len()
-	m.storeHitsDisk = s.store.hits.Load()
-	m.storeMisses = s.store.misses.Load()
-	m.storePuts = s.store.puts.Load()
+	m.storeHitsDisk, m.storeMisses, m.storePuts = s.store.Counts()
 	return m
 }
 
@@ -164,15 +146,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ctcpd_queue_wait_seconds_total", "Total time jobs spent queued.", fmt.Sprintf("%g", m.queueWaitSeconds))
 	counter("ctcpd_queue_wait_count_total", "Jobs that left the queue for a worker.", m.queueWaitN)
 	counter("ctcpd_sim_seconds_total", "Total wall time spent in simulation calls.", fmt.Sprintf("%g", m.simSeconds))
-	counter("ctcpd_sim_count_total", "Simulation calls issued to runners.", m.simN)
+	counter("ctcpd_sim_count_total", "Simulation calls issued by workers.", m.simN)
 	hist("ctcpd_queue_latency_seconds", "Time from acceptance to dispatch.", m.queueHist)
 	hist("ctcpd_sim_latency_seconds", "Wall time of each simulation call.", m.simHist)
-	counter("ctcpd_runner_started_total", "Distinct simulations begun by the pooled runners.", m.runner.Started)
-	counter("ctcpd_runner_completed_total", "Runner simulations that finished successfully.", m.runner.Completed)
-	counter("ctcpd_runner_failed_total", "Runner simulations that aborted.", m.runner.Failed)
-	counter("ctcpd_runner_deduped_total", "Callers who joined an in-flight runner simulation.", m.runner.Deduped)
-	counter("ctcpd_runner_cache_hits_total", "Callers satisfied from a runner's completed-run cache.", m.runner.CacheHits)
-	gauge("ctcpd_runner_pool_size", "Pooled runners currently alive.", m.runnerCount)
+	counter("ctcpd_runner_started_total", "Distinct simulations begun.", m.runStarted)
+	counter("ctcpd_runner_completed_total", "Simulations that finished successfully.", m.runCompleted)
+	counter("ctcpd_runner_failed_total", "Simulations that aborted or were interrupted.", m.runFailed)
+	// Kept for existing scrapers (perfbench reads cache_hits): the job index
+	// and the result store answer every repeat before a simulation starts.
+	counter("ctcpd_runner_deduped_total", "Always 0: the job index absorbs duplicate submissions.", 0)
+	counter("ctcpd_runner_cache_hits_total", "Always 0: the result store answers repeated fingerprints.", 0)
 	gauge("ctcpd_store_records", "Result records currently persisted.", m.storeRecords)
 	counter("ctcpd_store_reads_hit_total", "Store reads that returned a valid record.", m.storeHitsDisk)
 	counter("ctcpd_store_reads_miss_total", "Store reads that found no valid record.", m.storeMisses)

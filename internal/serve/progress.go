@@ -88,11 +88,10 @@ func (s *Server) unsubscribe(j *Job, ch <-chan Event) {
 	}
 }
 
-// routeProgress translates a pooled runner's progress event into a job
-// event. The runner is shared by profile, so the (profile, run key) pair —
-// registered by runJob for exactly the duration of its RunErr call —
-// identifies the owning job.
-func (s *Server) routeProgress(profile string, ev experiment.ProgressEvent) {
+// jobProgress translates a running job's simulation progress into job
+// events. runJob hands each simulation its own callback, so an event needs
+// no routing: it belongs to j.
+func (s *Server) jobProgress(j *Job, ev experiment.ProgressEvent) {
 	var typ string
 	switch ev.Kind {
 	case experiment.RunSegment:
@@ -100,15 +99,9 @@ func (s *Server) routeProgress(profile string, ev experiment.ProgressEvent) {
 	case experiment.RunRegion:
 		typ = "region"
 	default:
-		return // lifecycle kinds are covered by the server's own events
+		return // the server's own state machine emits the lifecycle events
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.progress[profile+"\x00"+ev.Key]
-	if !ok {
-		return
-	}
-	s.emitEventLocked(j, Event{Type: typ, Done: ev.Done, Total: ev.Total})
+	s.emitEvent(j, Event{Type: typ, Done: ev.Done, Total: ev.Total})
 }
 
 // handleEvents streams a job's progress as server-sent events: history

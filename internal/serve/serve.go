@@ -1,5 +1,5 @@
 // Package serve implements ctcpd, a stdlib-only HTTP/JSON simulation
-// service over the experiment runner. Clients submit (benchmark, strategy,
+// service over experiment.Simulate. Clients submit (benchmark, strategy,
 // budget, mode) jobs; the service simulates each distinct job exactly once —
 // concurrent duplicates join the in-flight job, repeats are answered from a
 // content-addressed result store keyed by the canonical run fingerprint
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"ctcp/internal/experiment"
-	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
 )
@@ -82,11 +81,6 @@ type Config struct {
 	// jobs disappear from /api/v1/jobs, but their results stay addressable
 	// forever via /api/v1/results/{fp} — the store is the system of record.
 	RetainJobs int
-	// MaxRunners bounds the pooled runners (and their memo caches) kept
-	// alive (0 = 8): idle runners beyond the cap are evicted LRU-first, so
-	// sustained traffic over many option profiles cannot grow memory
-	// without bound.
-	MaxRunners int
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
 }
@@ -111,18 +105,6 @@ type Request struct {
 	// be configured with a checkpoint directory).
 	Checkpoint      bool   `json:"checkpoint,omitempty"`
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
-}
-
-// mode names the request's simulation mode for records and logs.
-func (req Request) mode() string {
-	switch {
-	case req.SampleInterval != 0:
-		return "sampled"
-	case req.Checkpoint:
-		return "checkpointed"
-	default:
-		return "full"
-	}
 }
 
 // Job statuses, in lifecycle order.
@@ -174,20 +156,11 @@ type jobView struct {
 	Stats       *pipeline.Stats `json:"stats,omitempty"`
 }
 
-// pooledRunner wraps one experiment.Runner in the server's pool with the
-// bookkeeping the idle-eviction policy needs.
-type pooledRunner struct {
-	profile string
-	r       *experiment.Runner
-	active  int // jobs currently inside RunErr
-	lastUse time.Time
-}
-
 // Server is the ctcpd HTTP handler plus its worker pool. Create with New,
 // serve with net/http, stop with Shutdown.
 type Server struct {
 	cfg     Config
-	store   *Store
+	store   *experiment.Store
 	journal *jobJournal
 	slots   *experiment.SlotStore // nil unless Config.SlotDir is set
 	mux     *http.ServeMux
@@ -200,22 +173,21 @@ type Server struct {
 	closed       bool
 	authRequired bool
 	seq          int
-	jobs         map[string]*Job // by ID
-	byFP         map[string]*Job // by fingerprint: the service-level dedup index
-	runners      map[string]*pooledRunner
-	runnerBase   experiment.RunnerStats // counters of evicted runners (keeps /metrics monotonic)
-	tenants      map[string]*tenant     // by name (always includes DefaultTenant)
-	keys         map[string]*tenant     // by API key
-	rr           []string               // fair-share round-robin order (sorted tenant names)
+	jobs         map[string]*Job    // by ID
+	byFP         map[string]*Job    // by fingerprint: the service-level dedup index
+	tenants      map[string]*tenant // by name (always includes DefaultTenant)
+	keys         map[string]*tenant // by API key
+	rr           []string           // fair-share round-robin order (sorted tenant names)
 	rrNext       int
-	pending      int             // reserved or queued, not yet running (the 429 bound)
-	terminal     []*Job          // terminal jobs in completion order (retention ring)
-	progress     map[string]*Job // (runner profile, run key) -> running job
+	pending      int    // reserved or queued, not yet running (the 429 bound)
+	terminal     []*Job // terminal jobs in completion order (retention ring)
 
-	// testRunFn, when set before the first submission, replaces the
-	// simulation call on every pooled runner (fault injection in tests).
-	testRunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
+	// simulate runs one job: experiment.Simulate, which tests replace
+	// before the first submission to inject failures or pin a worker.
+	simulate func(bm workload.Benchmark, cfgKey string, cfg pipeline.Config,
+		opts experiment.Options, store *experiment.Store) (*pipeline.Stats, error)
 
+	runStarted, runCompleted, runFailed                 uint64
 	submitted, completed, failed, interrupted, rejected uint64
 	throttled, unauthorized, storeHits                  uint64
 	queueWait, simWall                                  time.Duration
@@ -226,7 +198,7 @@ type Server struct {
 // New builds a Server, opens (or creates) its result store, replays the
 // queue journal, and starts its worker pool.
 func New(cfg Config) (*Server, error) {
-	store, err := OpenStore(cfg.Store)
+	store, err := experiment.OpenStore(cfg.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 512
 	}
-	if cfg.MaxRunners <= 0 {
-		cfg.MaxRunners = 8
-	}
 	if cfg.Journal == "" {
 		cfg.Journal = filepath.Join(cfg.Store, "queue.journal")
 	}
@@ -260,10 +229,9 @@ func New(cfg Config) (*Server, error) {
 		interrupt: make(chan struct{}),
 		jobs:      make(map[string]*Job),
 		byFP:      make(map[string]*Job),
-		runners:   make(map[string]*pooledRunner),
 		tenants:   make(map[string]*tenant),
 		keys:      make(map[string]*tenant),
-		progress:  make(map[string]*Job),
+		simulate:  experiment.Simulate,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.SlotDir != "" {
@@ -318,14 +286,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// options translates a validated request into the runner options that
-// simulate it. Everything here that affects results is covered by
-// experiment.RunFingerprint; Parallelism is sized so a runner never throttles
-// below the server's own worker pool.
+// options translates a validated request into the options that simulate
+// it. Everything here that affects results is covered by
+// experiment.RunFingerprint.
 func (s *Server) options(req Request) experiment.Options {
 	opts := experiment.Options{
 		Budget:         req.Budget,
-		Parallelism:    s.cfg.Workers,
 		SampleInterval: req.SampleInterval,
 		SampleDetail:   req.SampleDetail,
 		SampleWarmup:   req.SampleWarmup,
@@ -336,61 +302,6 @@ func (s *Server) options(req Request) experiment.Options {
 		opts.CheckpointEvery = req.CheckpointEvery
 	}
 	return opts
-}
-
-// profileKey groups jobs that can share one experiment.Runner: the runner
-// memoizes by benchmark/config name only, so every result-affecting option
-// must be part of the pool key.
-func profileKey(opts experiment.Options) string {
-	return fmt.Sprintf("b%d|s%d,%d,%d|c%s,%d",
-		opts.Budget,
-		opts.SampleInterval, opts.SampleDetail, opts.SampleWarmup,
-		opts.CheckpointDir, opts.CheckpointEvery)
-}
-
-// runnerForLocked returns the pooled runner for a job's options profile,
-// creating it on first use, and marks it active. Caller holds s.mu.
-func (s *Server) runnerForLocked(opts experiment.Options) *pooledRunner {
-	profile := profileKey(opts)
-	pr, ok := s.runners[profile]
-	if !ok {
-		ropts := opts
-		ropts.Progress = func(ev experiment.ProgressEvent) { s.routeProgress(profile, ev) }
-		ropts.RunFn = s.testRunFn
-		pr = &pooledRunner{profile: profile, r: experiment.NewRunner(ropts)}
-		s.runners[profile] = pr
-	}
-	pr.active++
-	pr.lastUse = time.Now()
-	return pr
-}
-
-// releaseRunnerLocked returns a runner to the idle pool and evicts
-// least-recently-used idle runners beyond the configured cap. Evicted
-// runners fold their counters into runnerBase so /metrics stays monotonic;
-// their memo caches are dropped — the result store still answers repeats.
-// Caller holds s.mu.
-func (s *Server) releaseRunnerLocked(pr *pooledRunner) {
-	pr.active--
-	pr.lastUse = time.Now()
-	for len(s.runners) > s.cfg.MaxRunners {
-		var oldest *pooledRunner
-		for _, cand := range s.runners { //ctcp:lint-ok maporder -- LRU min-scan; order-insensitive
-			if cand.active == 0 && (oldest == nil || cand.lastUse.Before(oldest.lastUse)) {
-				oldest = cand
-			}
-		}
-		if oldest == nil {
-			return // every runner is busy; try again on the next release
-		}
-		rs := oldest.r.Stats()
-		s.runnerBase.Started += rs.Started
-		s.runnerBase.Completed += rs.Completed
-		s.runnerBase.Failed += rs.Failed
-		s.runnerBase.Deduped += rs.Deduped
-		s.runnerBase.CacheHits += rs.CacheHits
-		delete(s.runners, oldest.profile)
-	}
 }
 
 // validate resolves a request against the known benchmarks and strategy
@@ -449,7 +360,7 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 	}
 	opts := s.options(req)
 	fp := experiment.RunFingerprint(bm.Name, cfg, opts)
-	hex := fpHex(fp)
+	hex := experiment.FingerprintHex(fp)
 
 	s.mu.Lock()
 	if s.closed {
@@ -538,7 +449,7 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 	s.emitEventLocked(j, Event{Type: StatusQueued})
 	s.cond.Signal()
 	s.logf("job %s: queued %s/%s budget=%d mode=%s fp=%s tenant=%s",
-		j.ID, req.Benchmark, req.Config, req.Budget, req.mode(), hex, tn.name)
+		j.ID, req.Benchmark, req.Config, req.Budget, opts.Mode(), hex, tn.name)
 	return j, http.StatusAccepted, nil
 }
 
@@ -601,7 +512,7 @@ func (s *Server) replayJournal() error {
 			continue
 		}
 		opts := s.options(req)
-		if hex := fpHex(experiment.RunFingerprint(bm.Name, cfg, opts)); hex != e.FP {
+		if hex := experiment.FingerprintHex(experiment.RunFingerprint(bm.Name, cfg, opts)); hex != e.FP {
 			s.logf("journal: dropping %s: fingerprint drift (now %s)", e.FP, hex)
 			continue
 		}
@@ -679,7 +590,10 @@ func (s *Server) dequeueLocked() *Job {
 	return nil
 }
 
-// runJob executes one dequeued job to a terminal status.
+// runJob executes one dequeued job to a terminal status. Its simulation is
+// the server's one call into experiment.Simulate, which also persists the
+// result to the store; the byFP index has already made it the only run of
+// its fingerprint.
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	j.status = StatusRunning
@@ -688,28 +602,20 @@ func (s *Server) runJob(j *Job) {
 	s.queueWait += wait
 	s.queueWaitN++
 	s.queueHist.observe(wait.Seconds())
-	pr := s.runnerForLocked(j.opts)
-	key := j.bm.Name + "/" + j.Request.Config
-	s.progress[pr.profile+"\x00"+key] = j
+	s.runStarted++
+	simulate := s.simulate
 	s.emitEventLocked(j, Event{Type: StatusRunning})
 	s.mu.Unlock()
 
-	stats, err := pr.r.RunErr(j.bm, j.Request.Config, j.cfg)
+	opts := j.opts
+	opts.Progress = func(ev experiment.ProgressEvent) { s.jobProgress(j, ev) }
+	stats, err := simulate(j.bm, j.Request.Config, j.cfg, opts, s.store)
 	wall := time.Since(j.begun)
-
-	if err == nil {
-		if perr := s.store.Put(&Record{
-			Fingerprint: j.Fingerprint,
-			Benchmark:   j.Request.Benchmark,
-			Config:      j.Request.Config,
-			Budget:      j.Request.Budget,
-			Mode:        j.Request.mode(),
-			Stats:       stats,
-		}); perr != nil {
-			// The result is valid even if persisting it failed; the job
-			// succeeds and only durability is lost.
-			s.logf("job %s: result store write failed: %v", j.ID, perr)
-		}
+	if err != nil && stats != nil {
+		// Only the store write failed: the result is valid, the job
+		// succeeds, and only durability is lost.
+		s.logf("job %s: %v", j.ID, err)
+		err = nil
 	}
 	wasInterrupted := errors.Is(err, experiment.ErrInterrupted)
 	if !wasInterrupted {
@@ -723,8 +629,6 @@ func (s *Server) runJob(j *Job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.progress, pr.profile+"\x00"+key)
-	s.releaseRunnerLocked(pr)
 	s.simWall += wall
 	s.simN++
 	s.simHist.observe(wall.Seconds())
@@ -734,28 +638,23 @@ func (s *Server) runJob(j *Job) {
 	case err == nil:
 		j.status = StatusDone
 		j.stats = stats
+		s.runCompleted++
 		s.completed++
 		tn.completed++
 		s.logf("job %s: done in %v", j.ID, wall.Round(time.Millisecond))
 	case wasInterrupted:
 		j.status = StatusInterrupted
 		j.errMsg = err.Error()
+		s.runFailed++
 		s.interrupted++
 		tn.interrupted++
-		// Drop the memoized interruption so a retry (or the journal replay
-		// on restart, which reuses this process's runner pool only in
-		// tests) simulates fresh.
-		pr.r.Forget(j.bm, j.Request.Config)
 		s.logf("job %s: interrupted by shutdown", j.ID)
 	default:
 		j.status = StatusFailed
 		j.errMsg = err.Error()
+		s.runFailed++
 		s.failed++
 		tn.failed++
-		// The runner memoizes failures per key; forget this one so a
-		// resubmission of the fingerprint re-runs instead of replaying the
-		// recorded failure.
-		pr.r.Forget(j.bm, j.Request.Config)
 		s.logf("job %s: failed: %v", j.ID, err)
 	}
 	s.retireLocked(j)
@@ -842,7 +741,7 @@ func (s *Server) view(j *Job) jobView {
 		Benchmark:   j.Request.Benchmark,
 		Config:      j.Request.Config,
 		Budget:      j.Request.Budget,
-		Mode:        j.Request.mode(),
+		Mode:        j.opts.Mode(),
 		Status:      j.status,
 		Cached:      j.cached,
 		Error:       j.errMsg,
@@ -997,7 +896,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, ok := s.store.Get(fp)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no result for fingerprint %s", fpHex(fp)))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no result for fingerprint %s", experiment.FingerprintHex(fp)))
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)

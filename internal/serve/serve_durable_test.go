@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ctcp/internal/experiment"
-	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
 )
@@ -89,21 +88,29 @@ func waitJobKeyed(t *testing.T, base, key, id string) jobView {
 	}
 }
 
+// hookSimulation replaces s's simulation call with fn, so a test can inject
+// a failure or pin a worker without running the model.
+func hookSimulation(s *Server, fn func() (*pipeline.Stats, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.simulate = func(workload.Benchmark, string, pipeline.Config, experiment.Options, *experiment.Store) (*pipeline.Stats, error) {
+		return fn()
+	}
+}
+
 // TestServeFailedJobRetry is the headline poisoning regression: a job that
 // fails must not wedge its fingerprint. Resubmitting the same request after
-// a failure has to run a fresh simulation — through both the service dedup
-// index (byFP) and the pooled runner's memo — and succeed.
+// a failure has to run a fresh simulation — past the service dedup index
+// (byFP) — and succeed.
 func TestServeFailedJobRetry(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2})
 	var calls atomic.Int64
-	s.mu.Lock()
-	s.testRunFn = func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+	hookSimulation(s, func() (*pipeline.Stats, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("injected transient fault")
 		}
 		return &pipeline.Stats{Cycles: 4242, Retired: testBudget}, nil
-	}
-	s.mu.Unlock()
+	})
 	req := Request{Benchmark: "gzip", Config: "base", Budget: testBudget}
 
 	v1, code := submit[jobView](t, hs.URL, req)
@@ -207,7 +214,7 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 
 	// What did the first process finish? Anything already in the store must
 	// not be resimulated; everything else must be replayed to completion.
-	probe, err := OpenStore(storeDir)
+	probe, err := experiment.OpenStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +349,12 @@ func TestServeFairShareDispatch(t *testing.T) {
 	free := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(free) // never leave the worker pinned if an assertion bails early
 	var calls atomic.Int64
-	s.mu.Lock()
-	s.testRunFn = func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+	hookSimulation(s, func() (*pipeline.Stats, error) {
 		if calls.Add(1) == 1 {
 			<-release // pin the only worker while the backlog builds
 		}
 		return &pipeline.Stats{Cycles: 1, Retired: 1}, nil
-	}
-	s.mu.Unlock()
+	})
 
 	mk := func(extra uint64) Request {
 		return Request{Benchmark: "gzip", Config: "base", Budget: testBudget + extra}
@@ -475,17 +480,51 @@ func TestServeEventStream(t *testing.T) {
 	}
 }
 
+// TestServeProgressStaysWithItsJob: each simulation reports progress
+// through its own job's callback, so two concurrent checkpointed jobs over
+// the same benchmark and config — told apart only by their budgets — each
+// stream exactly their own segment boundaries and none of the other's.
+func TestServeProgressStaysWithItsJob(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2, CheckpointDir: t.TempDir()})
+	var ids []string
+	budgets := []uint64{testBudget, 2 * testBudget}
+	for _, b := range budgets {
+		v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base",
+			Budget: b, Checkpoint: true, CheckpointEvery: testEvery})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit budget %d: status %d", b, code)
+		}
+		ids = append(ids, v.ID)
+	}
+	for i, id := range ids {
+		if v := waitJob(t, hs.URL, id); v.Status != StatusDone {
+			t.Fatalf("job %s: status %q error %q", id, v.Status, v.Error)
+		}
+		segments := 0
+		for _, ev := range readEvents(t, hs.URL, id) {
+			if ev.Job != id {
+				t.Errorf("event for %s on %s's stream", ev.Job, id)
+			}
+			if ev.Type != "segment" {
+				continue
+			}
+			segments++
+			if ev.Total != budgets[i] {
+				t.Errorf("job %s (budget %d) got a segment of a budget-%d run", id, budgets[i], ev.Total)
+			}
+		}
+		if want := int(budgets[i]/testEvery) - 1; segments != want {
+			t.Errorf("job %s (budget %d): %d segment events, want %d", id, budgets[i], segments, want)
+		}
+	}
+}
+
 // TestServeJobRetention: terminal jobs beyond RetainJobs are evicted from
 // the in-memory index — the listing and job endpoints forget them — but
 // their results remain addressable by fingerprint, and a resubmission is
 // served from the store rather than resimulated.
 func TestServeJobRetention(t *testing.T) {
-	s, hs := newTestServer(t, Config{Workers: 1, RetainJobs: 2})
-	s.mu.Lock()
-	s.testRunFn = func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
-		return &pipeline.Stats{Cycles: 10, Retired: 10}, nil
-	}
-	s.mu.Unlock()
+	_, hs := newTestServer(t, Config{Workers: 1, RetainJobs: 2})
 
 	var jobs []jobView
 	for i := 0; i < 4; i++ {

@@ -500,9 +500,9 @@ func WriteFile(path string, w *Writer) error {
 }
 
 // WriteFileBytes is the atomic temp+rename write underneath WriteFile,
-// exposed for the sibling durable files a checkpoint run maintains (stats
-// journals, result-store records): everything that can be read back after a
-// crash goes through the same torn-write-free path.
+// exposed for the durable files that sit beside checkpoints (result-store
+// records): everything that can be read back after a crash goes through the
+// same torn-write-free path.
 func WriteFileBytes(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
